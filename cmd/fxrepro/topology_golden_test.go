@@ -8,11 +8,11 @@ import (
 	"fxnet"
 )
 
-// Golden trace digests for the -quick programs on multi-segment
-// topologies: every program runs on a 2-segment and a 4-segment switched
-// network, and the pinned digest must come out of BOTH the serial and the
-// parallel execution of the partitioned engine — the byte-identical-trace
-// contract of the conservative PDES kernel (DESIGN.md §13).
+// Golden trace digests for the -quick programs on explicit topologies:
+// every program runs on a 1-segment, a 2-segment and a 4-segment
+// network, and the pinned digest must come out of BOTH the serial and
+// the parallel execution — for multi-segment runs, the byte-identical-
+// trace contract of the conservative PDES kernel (DESIGN.md §13).
 //
 // Like goldenQuickDigests, these are a determinism contract: a mismatch
 // means event ordering, trunk latency accounting, the barrier capture
@@ -25,6 +25,16 @@ import (
 // golden_test.go were unaffected, and serial and parallel execution
 // still produce these exact bytes.
 var goldenTopologyDigests = map[string]map[string]string{
+	// All four hosts on one segment: the single-partition topology path
+	// (salted partition seed, no monitor station, topology metadata).
+	"lan0:0-3": {
+		"sor":     "96362e8fd090325f115c3ca8b29bdbc69bd7aa75f7b67ba9c03c6063d90780e5",
+		"2dfft":   "d93636b11682c806b19c8a26bc26f9dc5caa22a963589e6e2ea94d45184b359a",
+		"t2dfft":  "1dab7b6ae4ddd8ad080917e5ef3471fbf417a4969a859b81eb618aad8851155f",
+		"seq":     "219b617ebbed3c9aa6cb54591c5d547238617baf9a5947fdd3cb148f3a869dd7",
+		"hist":    "3c2b29713a9bebc319d6e49df098c6a492e0b5c07d13f1c9874d745bc79c45dc",
+		"airshed": "5777662e4ad3e67e4291cd00c98f9a3249b464fec201567e2f343c8958bbc6a9",
+	},
 	// Hosts 0-3 split pairwise across two segments.
 	"lan0:0-1,lan1:2-3": {
 		"sor":     "5d2c5685c4dc93890b091531b883d2d21026bd3c79b6cc5da1479f5749161012",

@@ -6,8 +6,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"fxnet/internal/airshed"
 	"fxnet/internal/analysis"
@@ -106,10 +108,16 @@ type RunConfig struct {
 	// Topology, when non-nil, replaces the single shared segment with a
 	// multi-segment bridged LAN: named segments with per-segment bit
 	// rates, hosts pinned to segments, learning bridges relaying frames
-	// over latency-only trunks. Runs are then eligible for conservative
-	// parallel execution (see RunOpts.PDES); serial and parallel produce
-	// byte-identical traces. Nil keeps the paper's shared segment and
-	// leaves every existing run key and golden digest unchanged.
+	// over latency-only trunks. Runs with more than one segment are
+	// eligible for conservative parallel execution (see RunOpts.PDES);
+	// serial and parallel produce byte-identical traces. Nil keeps the
+	// paper's shared segment and leaves every existing run key and golden
+	// digest unchanged.
+	//
+	// With a Topology the run is rejected, before anything is built,
+	// when it also sets any of: Switched, FrameLossProb, FaultScript or
+	// Faults, Degrade, CrossTrafficKBps, GuaranteeProgram,
+	// HeartbeatMisses; or when the pinned hosts are not exactly 0..P-1.
 	Topology *Topology
 }
 
@@ -131,8 +139,9 @@ type Result struct {
 	// that aborts cleanly is a valid measurement, not a Run error.
 	RunErr *fx.RunError
 	// Engine carries the conservative parallel engine's scheduling
-	// counters for topology runs (zero-valued for single-segment runs
-	// and results served from the cache).
+	// counters for multi-segment runs (zero-valued for single-segment
+	// runs, with or without a Topology, and for results served from the
+	// cache).
 	Engine sim.EngineStats
 }
 
@@ -154,8 +163,8 @@ const (
 // deliberately outside RunConfig so they never enter cache keys or
 // canonical encodings.
 type RunOpts struct {
-	// PDES selects serial or parallel partition execution for topology
-	// runs. Ignored (harmlessly) for single-segment runs.
+	// PDES selects serial or parallel partition execution for
+	// multi-segment runs. Ignored (harmlessly) for single-segment runs.
 	PDES PDESMode
 }
 
@@ -188,60 +197,160 @@ func RunStream(cfg RunConfig) (*Result, *Report, error) {
 	return run(cfg, true, RunOpts{})
 }
 
-// run is the shared body of Run and RunStream.
+// run is the one run builder behind Run, RunWithOpts and RunStream. A
+// nil Topology is the paper's testbed: one segment (shared, or switched
+// when Switched is set) with sequential station IDs, the monitor
+// station, and the legacy unsalted seed. Everything else — transport
+// and PVM configuration, host attach, the team, the stream sink, trace
+// metadata and the Result — is the same for every run; only building
+// the fabric differs between one partition and many (see testbed.go).
 func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 	spec, isKernel := kernels.Lookup(cfg.Program)
-	if !isKernel && cfg.Program != Airshed {
-		return nil, nil, fmt.Errorf("core: unknown program %q (have %v)", cfg.Program, ProgramNames())
+	p := cfg.P
+	if p == 0 {
+		p = 4
+		if isKernel {
+			p = spec.P
+		}
 	}
-	if cfg.ForceCopyLoop && cfg.ForceFragments {
-		return nil, nil, fmt.Errorf("core: ForceCopyLoop and ForceFragments both set")
+	schedule, err := validate(cfg, isKernel, p)
+	if err != nil {
+		return nil, nil, err
 	}
+	faulty := !schedule.Empty()
+	netCfg, pvmCfg := stackConfig(cfg, faulty)
+
+	var tb *testbed
+	if cfg.Topology != nil && len(cfg.Topology.Segments) > 1 {
+		tb = buildBridged(cfg, p, netCfg, pvmCfg)
+	} else {
+		tb = buildShared(cfg, p, netCfg, pvmCfg)
+	}
+	// Processes still parked when the run ends (listeners in Accept,
+	// readers of connections that never close) are unwound once the
+	// results below are sealed, so no goroutine outlives the run.
+	defer func() {
+		for _, k := range tb.parts {
+			k.Release()
+		}
+	}()
+
+	team, repConn := launchTeam(cfg, tb.machine, spec, isKernel, p)
+	if faulty {
+		if err := tb.applyFaults(schedule, team); err != nil {
+			return nil, nil, err
+		}
+	}
+	if tb.video != nil {
+		startCrossTraffic(tb.parts[0], tb.video, tb.hosts[0].Addr(), cfg.CrossTrafficKBps, team)
+	}
+
+	// Streaming analysis: fold packets into the characterization as they
+	// are captured, and keep none of them. Attached here — after the
+	// representative connection is known, before any packet flows.
+	var sc *analysis.StreamCharacterizer
+	if stream {
+		sc = analysis.NewStreamCharacterizer(cfg.Program, repConn)
+		tb.col.SetRetain(false)
+		tb.col.AddSink(sc)
+	}
+
+	var elapsed sim.Time
+	var engStats sim.EngineStats
+	if tb.eng != nil {
+		parallel := opts.PDES == PDESParallel || opts.PDES == PDESAuto && runtime.NumCPU() > 1
+		elapsed = tb.eng.Run(parallel)
+		engStats = tb.eng.Stats()
+	} else {
+		elapsed = tb.parts[0].Run()
+	}
+	final, runErr, err := finishTeam(team, cfg.Program, elapsed)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	var rep *Report
+	if stream {
+		tb.col.Flush()
+		rep = sc.Report()
+	}
+
+	tr := tb.col.Trace()
+	tr.Hosts = tb.names
+	tr.Meta["program"] = cfg.Program
+	tr.Meta["P"] = fmt.Sprint(p)
+	tr.Meta["seed"] = fmt.Sprint(cfg.Seed)
 	if cfg.Topology != nil {
-		return runTopology(cfg, stream, opts, spec, isKernel)
+		tr.Meta["topology"] = cfg.Topology.Spec()
+	}
+	if faulty {
+		tr.Meta["faults"] = schedule.String()
+		tr.Meta["finalP"] = fmt.Sprint(len(final.Workers))
+	}
+
+	return &Result{
+		Config:   cfg,
+		Trace:    tr,
+		Elapsed:  elapsed,
+		SegStats: tb.stats(),
+		Workers:  final.Workers,
+		RepConn:  repConn,
+		Team:     final,
+		RunErr:   runErr,
+		Engine:   engStats,
+	}, rep, nil
+}
+
+// validate rejects, before anything is built, every configuration the
+// builder does not model, and returns the parsed fault schedule. The
+// combinations rejected with a Topology are listed on RunConfig.Topology.
+func validate(cfg RunConfig, isKernel bool, p int) (*faults.Schedule, error) {
+	switch {
+	case !isKernel && cfg.Program != Airshed:
+		return nil, fmt.Errorf("core: unknown program %q (have %v)", cfg.Program, ProgramNames())
+	case cfg.ForceCopyLoop && cfg.ForceFragments:
+		return nil, fmt.Errorf("core: ForceCopyLoop and ForceFragments both set")
+	}
+	if topo := cfg.Topology; topo != nil {
+		for _, r := range []struct {
+			set bool
+			err string
+		}{
+			{cfg.Switched, "Topology and Switched are mutually exclusive"},
+			{cfg.FrameLossProb > 0, "frame loss injection is not modeled on multi-segment topologies"},
+			{cfg.FaultScript != "" || !cfg.Faults.Empty(), "fault injection is not supported on multi-segment topologies"},
+			{cfg.Degrade, "Degrade is not supported on multi-segment topologies"},
+			{cfg.CrossTrafficKBps > 0, "cross traffic is not supported on multi-segment topologies"},
+			{cfg.GuaranteeProgram, "GuaranteeProgram requires Switched"},
+			{cfg.HeartbeatMisses != 0, "heartbeat failure detection is not supported on multi-segment topologies"},
+		} {
+			if r.set {
+				return nil, errors.New("core: " + r.err)
+			}
+		}
+		return nil, topo.ValidateFor(p)
 	}
 	schedule := cfg.Faults
 	if schedule == nil && cfg.FaultScript != "" {
 		s, err := faults.Parse(cfg.FaultScript)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		schedule = s
 	}
-	faulty := !schedule.Empty()
-
-	p := cfg.P
-	if p == 0 {
-		if isKernel {
-			p = spec.P
-		} else {
-			p = 4
-		}
+	switch {
+	case cfg.Switched && cfg.FrameLossProb > 0:
+		return nil, fmt.Errorf("core: frame loss injection is only modeled on the shared segment")
+	case cfg.GuaranteeProgram && !cfg.Switched:
+		return nil, fmt.Errorf("core: GuaranteeProgram requires Switched")
 	}
+	return schedule, nil
+}
 
-	k := sim.New(cfg.Seed)
-	var (
-		medium   ethernet.TrafficSource
-		attach   func(name string) ethernet.Port
-		segStats func() ethernet.Stats
-	)
-	if cfg.Switched {
-		sw := ethernet.NewSwitch(k, cfg.BitRate, 10*sim.Microsecond)
-		medium = sw
-		attach = func(name string) ethernet.Port { return sw.Attach(name) }
-		segStats = func() ethernet.Stats { return ethernet.Stats{Frames: sw.Delivered, Bytes: sw.DeliveredBytes} }
-		if cfg.FrameLossProb > 0 {
-			return nil, nil, fmt.Errorf("core: frame loss injection is only modeled on the shared segment")
-		}
-	} else {
-		seg := ethernet.NewSegment(k, cfg.BitRate)
-		if cfg.FrameLossProb > 0 {
-			seg.SetDropProb(cfg.FrameLossProb)
-		}
-		medium = seg
-		attach = func(name string) ethernet.Port { return seg.Attach(name) }
-		segStats = seg.Stats
-	}
+// stackConfig derives the transport and PVM configuration of a run,
+// including the bounded retries and faster failure detection a fault
+// schedule needs.
+func stackConfig(cfg RunConfig, faulty bool) (netstack.Config, pvm.Config) {
 	netCfg := cfg.Net
 	if netCfg.SendWindow == 0 {
 		netCfg = netstack.DefaultConfig()
@@ -259,156 +368,28 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 			netCfg.ConnectTimeout = 30 * sim.Second
 		}
 	}
-	hosts := make([]*netstack.Host, p)
-	names := make([]string, 0, p+1)
-	for i := range hosts {
-		st := attach(fmt.Sprintf("alpha%d", i))
-		hosts[i] = netstack.NewHost(k, st, st.Name(), netCfg)
-		names = append(names, st.Name())
-	}
-	// The measurement workstation: attached, promiscuous, silent.
-	attach("monitor")
-	names = append(names, "monitor")
-	col := trace.Capture(medium)
-
-	if cfg.GuaranteeProgram {
-		sw, ok := medium.(*ethernet.Switch)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: GuaranteeProgram requires Switched")
-		}
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				if i != j {
-					sw.Guarantee(i, j)
-				}
-			}
-		}
-	}
-
-	var crossHost *netstack.Host
-	if cfg.CrossTrafficKBps > 0 {
-		st := attach("video")
-		names = append(names, "video")
-		crossHost = netstack.NewHost(k, st, "video", netCfg)
-	}
-
 	pvmCfg := pvm.DefaultConfig()
-	if cfg.KeepaliveInterval != 0 {
-		pvmCfg.KeepaliveInterval = cfg.KeepaliveInterval
-	} else if faulty {
+	if faulty {
 		// Failure detection latency is misses × keepalive interval; the
 		// sparse 30 s measured-era cadence would stretch every faulty
 		// run by minutes of virtual time.
 		pvmCfg.KeepaliveInterval = sim.Second
+		pvmCfg.HeartbeatMisses = 3
+		pvmCfg.ConnectRetries = 3
+		pvmCfg.ConnectBackoff = 250 * sim.Millisecond
+	}
+	if cfg.KeepaliveInterval != 0 {
+		pvmCfg.KeepaliveInterval = cfg.KeepaliveInterval
 	}
 	if cfg.HeartbeatMisses != 0 {
 		pvmCfg.HeartbeatMisses = cfg.HeartbeatMisses
-	} else if faulty {
-		pvmCfg.HeartbeatMisses = 3
 	}
-	if faulty {
-		if pvmCfg.ConnectRetries == 0 {
-			pvmCfg.ConnectRetries = 3
-		}
-		if pvmCfg.ConnectBackoff == 0 {
-			pvmCfg.ConnectBackoff = 250 * sim.Millisecond
-		}
-	}
-	machine := pvm.NewMachine(k, hosts, pvmCfg)
-
-	team, repConn, progName := launchTeam(cfg, machine, spec, isKernel, p)
-
-	if faulty {
-		hooks := faults.Hooks{
-			HostIndex: func(name string) (int, bool) {
-				for i := range hosts {
-					if name == fmt.Sprintf("alpha%d", i) ||
-						name == fmt.Sprintf("host%d", i) ||
-						name == fmt.Sprint(i) {
-						return i, true
-					}
-				}
-				return 0, false
-			},
-			Crash:   machine.KillHost,
-			Restart: machine.RestartHost,
-			Stall: func(host int, d sim.Duration) {
-				team.Final().StallHost(host, d)
-			},
-			Annotate: func(at sim.Time, f faults.Fault) {
-				col.Trace().AddMark(at, f.String())
-			},
-		}
-		// Wire faults only on the shared segment: a switched fabric has
-		// no single collision domain, so link-level faults are rejected
-		// by Apply's validation rather than silently ignored.
-		if seg, ok := medium.(*ethernet.Segment); ok {
-			hooks.LinkDown = seg.SetLinkDown
-			hooks.SegmentDown = seg.SetSegmentDown
-			hooks.Partition = seg.SetPartition
-			hooks.Heal = seg.Heal
-			hooks.BitRate = seg.SetBitRate
-			hooks.Duplicate = seg.SetDuplicateProb
-			hooks.Reorder = seg.SetReorderProb
-		}
-		if err := faults.Apply(k, schedule, hooks); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	if crossHost != nil {
-		startCrossTraffic(k, crossHost, hosts[0].Addr(), cfg.CrossTrafficKBps, team)
-	}
-
-	// Streaming analysis: fold packets into the characterization as they
-	// are captured, and keep none of them. Attached here — after the
-	// representative connection is known, before any packet flows.
-	var sc *analysis.StreamCharacterizer
-	if stream {
-		sc = analysis.NewStreamCharacterizer(cfg.Program, repConn)
-		col.SetRetain(false)
-		col.AddSink(sc)
-	}
-
-	elapsed := k.Run()
-	final, runErr, err := finishTeam(team, progName, cfg.Program, elapsed)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var rep *Report
-	if stream {
-		col.Flush()
-		rep = sc.Report()
-	}
-
-	tr := col.Trace()
-	tr.Hosts = names
-	tr.Meta["program"] = cfg.Program
-	tr.Meta["P"] = fmt.Sprint(p)
-	tr.Meta["seed"] = fmt.Sprint(cfg.Seed)
-	if faulty {
-		tr.Meta["faults"] = schedule.String()
-		tr.Meta["finalP"] = fmt.Sprint(len(final.Workers))
-	}
-
-	return &Result{
-		Config:   cfg,
-		Trace:    tr,
-		Elapsed:  elapsed,
-		SegStats: segStats(),
-		Workers:  final.Workers,
-		RepConn:  repConn,
-		Team:     final,
-		RunErr:   runErr,
-	}, rep, nil
+	return netCfg, pvmCfg
 }
 
 // launchTeam builds the cost model and launches the Fx program over the
-// machine, returning the team, the representative connection, and the
-// program's registry name. Shared by the single-segment and topology
-// runners.
-func launchTeam(cfg RunConfig, machine *pvm.Machine, spec kernels.Spec, isKernel bool, p int) (*fx.Team, [2]int, string) {
+// machine, returning the team and the representative connection.
+func launchTeam(cfg RunConfig, machine *pvm.Machine, spec kernels.Spec, isKernel bool, p int) (*fx.Team, [2]int) {
 	cost := buildCost(cfg, spec, isKernel)
 	repConn := [2]int{-1, -1}
 	opts := fx.Opts{P: p, Cost: cost, Degrade: cfg.Degrade}
@@ -462,13 +443,13 @@ func launchTeam(cfg RunConfig, machine *pvm.Machine, spec kernels.Spec, isKernel
 			airshed.Run(w, ap)
 		})
 	}
-	return team, repConn, opts.Name
+	return team, repConn
 }
 
 // finishTeam classifies the team's final state after the simulation
 // drained: done, aborted (a fault measurement), killed without an abort
 // record, or deadlocked (an error).
-func finishTeam(team *fx.Team, progName, program string, elapsed sim.Time) (*fx.Team, *fx.RunError, error) {
+func finishTeam(team *fx.Team, program string, elapsed sim.Time) (*fx.Team, *fx.RunError, error) {
 	final := team.Final()
 	switch {
 	case final.Done():
@@ -482,7 +463,7 @@ func finishTeam(team *fx.Team, progName, program string, elapsed sim.Time) (*fx.
 		// needed to talk to the dead rank again. Its output is lost
 		// either way, so the run still reports a fault.
 		return final, &fx.RunError{
-			Program: progName, Rank: -1, Phase: "killed",
+			Program: final.Name, Rank: -1, Phase: "killed",
 			Err: fmt.Errorf("worker killed by host fault before completing"),
 		}, nil
 	default:

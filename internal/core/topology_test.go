@@ -296,8 +296,9 @@ func TestTopologyTrafficVolume(t *testing.T) {
 }
 
 func TestTopologySingleSegment(t *testing.T) {
-	// A one-segment topology runs through the partitioned engine with
-	// no trunks — a degenerate but legal case.
+	// A one-segment topology is a single partition: it runs on its
+	// segment's kernel with no engine and no trunks — a degenerate but
+	// legal case, so the PDES mode cannot matter.
 	topo, err := ParseTopology("lan0:0-3")
 	if err != nil {
 		t.Fatal(err)

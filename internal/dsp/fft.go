@@ -67,6 +67,19 @@ func FFT(x []complex128) []complex128 {
 	return bluestein(out, false)
 }
 
+// FFTInPlace overwrites x with its unnormalized DFT — the values FFT
+// returns. Power-of-two lengths transform without allocating.
+func FFTInPlace(x []complex128) {
+	n := len(x)
+	switch {
+	case n == 0:
+	case n&(n-1) == 0:
+		fftRadix2(x, false)
+	default:
+		copy(x, bluestein(x, false))
+	}
+}
+
 // IFFT returns the inverse DFT of X, normalized by 1/N, so that
 // IFFT(FFT(x)) == x up to rounding.
 func IFFT(x []complex128) []complex128 {

@@ -53,6 +53,26 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
+// TestFFTInPlaceMatchesFFT: the in-place transform yields FFT's exact
+// bits at every length, and allocates nothing at powers of two.
+func TestFFTInPlaceMatchesFFT(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for _, n := range []int{0, 1, 2, 3, 8, 12, 64, 100, 256} {
+		x := randComplex(r, n)
+		want := FFT(x)
+		FFTInPlace(x)
+		for i := range want {
+			if x[i] != want[i] {
+				t.Fatalf("n=%d: bin %d = %v, FFT gives %v", n, i, x[i], want[i])
+			}
+		}
+	}
+	x := randComplex(r, 256)
+	if a := testing.AllocsPerRun(10, func() { FFTInPlace(x) }); a != 0 {
+		t.Errorf("FFTInPlace(256 points) allocates %v times", a)
+	}
+}
+
 func TestFFTEmpty(t *testing.T) {
 	if got := FFT(nil); got != nil {
 		t.Errorf("FFT(nil) = %v", got)

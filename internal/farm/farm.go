@@ -284,7 +284,7 @@ func (f *Farm) Run(cfg core.RunConfig) (*core.Result, *core.Report, error) {
 // points — but its result is still stored and memoized, so the work is
 // not wasted.
 func (f *Farm) RunCtx(ctx context.Context, cfg core.RunConfig) (*core.Result, *core.Report, error) {
-	jr := f.do(ctx, Job{Label: cfg.Program, Config: cfg})
+	jr := f.do(ctx, Job{Label: cfg.Program, Config: cfg}, Key(cfg))
 	return jr.Result, jr.Report, jr.Err
 }
 
@@ -297,7 +297,7 @@ func (f *Farm) RunStream(cfg core.RunConfig) (*core.Result, *core.Report, error)
 
 // RunStreamCtx is RunStream under a context, with RunCtx's semantics.
 func (f *Farm) RunStreamCtx(ctx context.Context, cfg core.RunConfig) (*core.Result, *core.Report, error) {
-	jr := f.do(ctx, Job{Label: cfg.Program, Config: cfg, Stream: true})
+	jr := f.do(ctx, Job{Label: cfg.Program, Config: cfg, Stream: true}, Key(cfg))
 	return jr.Result, jr.Report, jr.Err
 }
 
@@ -312,15 +312,7 @@ func (f *Farm) RunBatch(jobs []Job) []JobResult {
 // every job of the batch that has not yet started executing.
 func (f *Farm) RunBatchCtx(ctx context.Context, jobs []Job) []JobResult {
 	out := make([]JobResult, len(jobs))
-	var wg sync.WaitGroup
-	for i, job := range jobs {
-		wg.Add(1)
-		go func(i int, job Job) {
-			defer wg.Done()
-			out[i] = f.do(ctx, job)
-		}(i, job)
-	}
-	wg.Wait()
+	f.dispatch(ctx, jobs, func(i int, jr JobResult) { out[i] = jr })
 	return out
 }
 
@@ -328,19 +320,79 @@ func (f *Farm) RunBatchCtx(ctx context.Context, jobs []Job) []JobResult {
 // order; the channel closes when the batch is done.
 func (f *Farm) Submit(jobs []Job) <-chan JobResult {
 	ch := make(chan JobResult, len(jobs))
-	var wg sync.WaitGroup
-	for _, job := range jobs {
-		wg.Add(1)
-		go func(job Job) {
-			defer wg.Done()
-			ch <- f.do(context.Background(), job)
-		}(job)
-	}
 	go func() {
-		wg.Wait()
+		f.dispatch(context.Background(), jobs, func(_ int, jr JobResult) { ch <- jr })
 		close(ch)
 	}()
 	return ch
+}
+
+// dispatch runs a batch grouped by single-flight slot: one do per
+// distinct slot, concurrently, whose result fans out to the slot's other
+// jobs as dedup hits. Grouping before dispatch is what makes "identical
+// configurations within the batch are simulated once" hold even when a
+// leader finishes before its twin's goroutine is scheduled — the
+// in-flight call table alone only dedups jobs that overlap in time.
+// Every job still gets its own counters and progress event. emit
+// receives each job's index and result.
+func (f *Farm) dispatch(ctx context.Context, jobs []Job, emit func(i int, jr JobResult)) {
+	keys := make([]string, len(jobs))
+	groups := make(map[string][]int, len(jobs))
+	var leaders []string
+	for i, job := range jobs {
+		keys[i] = Key(job.Config)
+		slot := slotOf(keys[i], job.Stream)
+		if _, ok := groups[slot]; !ok {
+			leaders = append(leaders, slot)
+		}
+		groups[slot] = append(groups[slot], i)
+	}
+	f.mu.Lock()
+	f.stats.Submitted += int64(len(jobs) - len(leaders)) // leaders count in do
+	f.mu.Unlock()
+	var wg sync.WaitGroup
+	for _, slot := range leaders {
+		wg.Add(1)
+		go func(idx []int) {
+			defer wg.Done()
+			start := time.Now()
+			lead := f.do(ctx, jobs[idx[0]], keys[idx[0]])
+			emit(idx[0], lead)
+			for _, i := range idx[1:] {
+				emit(i, f.follow(jobs[i], lead, start))
+			}
+		}(groups[slot])
+	}
+	wg.Wait()
+}
+
+// follow completes a batch twin of a finished leader: it shares the
+// leader's outcome as a dedup hit, or its cancellation — twins share the
+// batch context, so a cancelled leader means a cancelled twin.
+func (f *Farm) follow(job Job, lead JobResult, start time.Time) JobResult {
+	jr := lead
+	jr.Job = job
+	f.mu.Lock()
+	if isCtxErr(lead.Err) {
+		f.stats.Cancelled++
+		jr.Deduped = false
+	} else {
+		f.stats.Deduped++
+		jr.Deduped = true
+	}
+	f.mu.Unlock()
+	f.finish(&jr, start)
+	return jr
+}
+
+// slotOf names a job's single-flight slot. Stream jobs single-flight in
+// their own namespace: a stream result (no packets) must never be handed
+// to a trace job, and vice versa.
+func slotOf(key string, stream bool) string {
+	if stream {
+		return "stream/" + key
+	}
+	return key
 }
 
 // isCtxErr reports whether an error is a context cancellation/deadline.
@@ -348,17 +400,12 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// do runs one job through dedup → cache → pool.
-func (f *Farm) do(ctx context.Context, job Job) JobResult {
+// do runs one job, whose configuration hashes to key, through dedup →
+// cache → pool.
+func (f *Farm) do(ctx context.Context, job Job, key string) JobResult {
 	start := time.Now()
-	key := Key(job.Config)
 	jr := JobResult{Job: job, Key: key}
-	// Stream jobs single-flight in their own namespace: a stream result
-	// (no packets) must never be handed to a trace job, and vice versa.
-	slot := key
-	if job.Stream {
-		slot = "stream/" + key
-	}
+	slot := slotOf(key, job.Stream)
 
 	f.mu.Lock()
 	f.stats.Submitted++

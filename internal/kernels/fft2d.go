@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"sync"
 
 	"fxnet/internal/dsp"
 	"fxnet/internal/fx"
@@ -15,18 +16,28 @@ func fftFlops(n int) float64 {
 	return 5 * float64(n) * math.Log2(float64(n))
 }
 
+// rowScratch recycles fftRow's complex128 working rows. A run
+// transforms thousands of rows, and workers on different partitions may
+// transform concurrently.
+var rowScratch = sync.Pool{New: func() any { return new([]complex128) }}
+
 // fftRow transforms one row of complex64 data in place via the complex128
 // FFT, rounding back to COMPLEX*8 as the Fx program stores it. The
 // sequential references use the same helper, so results match exactly.
 func fftRow(row []complex64) {
-	tmp := make([]complex128, len(row))
+	buf := rowScratch.Get().(*[]complex128)
+	if cap(*buf) < len(row) {
+		*buf = make([]complex128, len(row))
+	}
+	tmp := (*buf)[:len(row)]
 	for i, v := range row {
 		tmp[i] = complex128(v)
 	}
-	out := dsp.FFT(tmp)
-	for i, v := range out {
+	dsp.FFTInPlace(tmp)
+	for i, v := range tmp {
 		row[i] = complex64(v)
 	}
+	rowScratch.Put(buf)
 }
 
 // initComplex is the deterministic 2DFFT input.

@@ -35,7 +35,13 @@ func journaledServer(t *testing.T, dir string, opts Options) (*Server, *httptest
 		t.Fatalf("recover: %v", err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	t.Cleanup(func() {
+		ts.Close()
+		// A crash()'d server's jobs keep running; wait for them so their
+		// cache writes land before the test directory is removed.
+		s.jobs.drain(context.Background())
+		s.Close()
+	})
 	return s, ts
 }
 

@@ -79,6 +79,8 @@ type Kernel struct {
 
 	// current process, non-nil while a process goroutine is executing.
 	cur *Proc
+	// procs lists every started process, for Release.
+	procs []*Proc
 }
 
 // New returns a kernel whose clock reads zero and whose named random

@@ -38,6 +38,7 @@ func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
 	}
 	k.At(k.now, "start:"+name, func() {
 		p.started = true
+		k.procs = append(k.procs, p)
 		go func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -115,6 +116,23 @@ func (p *Proc) Kill() {
 	p.killed = true
 	p.waiting = false
 	p.k.atProc(p.k.now, p)
+}
+
+// Release unwinds every process still parked once the simulation is over
+// — daemons blocked in an accept or a read that will never complete — so
+// their goroutines exit and the run's state can be collected. Each
+// unwinds as if killed, but on the spot: no event runs and the clock
+// does not move. Call it after the run's results are extracted; the
+// kernel must not run again.
+func (k *Kernel) Release() {
+	for _, p := range k.procs {
+		if !p.done {
+			p.killed = true
+			p.waiting = false
+			p.dispatch()
+		}
+	}
+	k.procs = nil
 }
 
 // Sleep advances the process's virtual time by d, allowing other events to

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestProcSleep(t *testing.T) {
 	k := New(1)
@@ -203,4 +207,53 @@ func TestManyProcsDeterministic(t *testing.T) {
 			t.Fatalf("nondeterministic at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
+}
+
+// TestReleaseUnwindsParkedProcs: processes still parked when the queue
+// drains (daemons waiting on a gate, a reader suspended forever) keep
+// their goroutines until Release, which unwinds them without running an
+// event, moving the clock, or resuming their bodies.
+func TestReleaseUnwindsParkedProcs(t *testing.T) {
+	k := New(1)
+	var g Gate
+	resumed := false
+	var parked []*Proc
+	for _, name := range []string{"a", "b"} {
+		parked = append(parked, k.Go("gate:"+name, func(p *Proc) {
+			g.Wait(p)
+			resumed = true
+		}))
+	}
+	parked = append(parked, k.Go("suspend", func(p *Proc) {
+		p.Sleep(Millisecond)
+		p.Suspend()
+		resumed = true
+	}))
+	finished := k.Go("finisher", func(p *Proc) { p.Sleep(2 * Millisecond) })
+	end := k.Run()
+	executed := k.Executed()
+	before := runtime.NumGoroutine()
+	k.Release()
+	if k.Executed() != executed || k.Now() != end {
+		t.Errorf("Release ran events: executed %d→%d, now %v→%v", executed, k.Executed(), end, k.Now())
+	}
+	if resumed {
+		t.Error("Release resumed a parked body")
+	}
+	for _, p := range parked {
+		if !p.Done() || !p.Killed() {
+			t.Errorf("%s: done=%v killed=%v after Release", p.Name(), p.Done(), p.Killed())
+		}
+	}
+	if !finished.Done() || finished.Killed() {
+		t.Error("Release touched a finished process")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before-len(parked) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Release, want at most %d", runtime.NumGoroutine(), before-len(parked))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	k.Release() // idempotent
 }
