@@ -228,10 +228,16 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 	}
 	// Processes still parked when the run ends (listeners in Accept,
 	// readers of connections that never close) are unwound once the
-	// results below are sealed, so no goroutine outlives the run.
+	// results below are sealed, so no goroutine outlives the run. Then
+	// the final team lets go of its tasks: a kept Result carries
+	// counters, not the simulated machine.
+	var final *fx.Team
 	defer func() {
 		for _, k := range tb.parts {
 			k.Release()
+		}
+		if final != nil {
+			final.Detach()
 		}
 	}()
 
@@ -264,7 +270,8 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 	} else {
 		elapsed = tb.parts[0].Run()
 	}
-	final, runErr, err := finishTeam(team, cfg.Program, elapsed)
+	var runErr *fx.RunError
+	final, runErr, err = finishTeam(team, cfg.Program, elapsed)
 	if err != nil {
 		return nil, nil, err
 	}

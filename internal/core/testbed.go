@@ -223,8 +223,9 @@ func buildBridged(cfg RunConfig, p int, netCfg netstack.Config, pvmCfg pvm.Confi
 		bridges[i] = ethernet.NewBridge(segs[i], i, nSeg, p, func(dstSeg int, f *ethernet.Frame) {
 			src := i
 			at := parts[src].Now().Add(delay[src] + delay[dstSeg])
+			fr := *f // f is the segment's; the trunk carries a copy
 			eng.Send(src, dstSeg, at, "trunk", func() {
-				bridges[dstSeg].DeliverFromTrunk(src, f)
+				bridges[dstSeg].DeliverFromTrunk(src, fr)
 			})
 		})
 	}

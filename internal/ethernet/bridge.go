@@ -41,6 +41,8 @@ type Bridge struct {
 // table: host station addresses are expected in [0, hostCap). send
 // conveys a frame into another segment's bridge; the topology runner
 // routes it across the partition boundary with trunk latency applied.
+// The frame send receives is valid only during the call, so a trunk
+// that carries it copies the value.
 func NewBridge(seg *Segment, segIdx, nSeg, hostCap int, send func(dstSeg int, f *Frame)) *Bridge {
 	if hostCap < 1 {
 		hostCap = 1
@@ -120,7 +122,7 @@ func (b *Bridge) flood(f *Frame) {
 // DeliverFromTrunk accepts a frame arriving over a trunk from srcSeg:
 // learn the source's segment, then transmit the frame locally with its
 // original source address preserved.
-func (b *Bridge) DeliverFromTrunk(srcSeg int, f *Frame) {
+func (b *Bridge) DeliverFromTrunk(srcSeg int, f Frame) {
 	b.learn(f.Src, srcSeg)
 	b.station.Forward(f)
 }

@@ -6,8 +6,13 @@
 // exponential backoff.
 //
 // Frames carry both real payload bytes for delivery and the protocol
-// metadata (transport protocol, ports, flags) that the capture layer
-// records, mirroring what tcpdump extracts from the wire.
+// metadata (transport protocol, ports, flags, TCP sequence numbers) that
+// a capture sees, mirroring what tcpdump extracts from the wire.
+//
+// Frames travel by value: Send copies the frame into the medium's own
+// queues, so a sender builds it on its stack and allocates nothing. The
+// *Frame a receiver, tap or forwarding hook is handed points into the
+// medium's storage and is valid only for the length of that call.
 package ethernet
 
 import (
@@ -75,6 +80,8 @@ const (
 // Frame is one Ethernet frame. NetLen is the network-layer length (IP
 // header + transport header + payload) used for sizing; Payload carries
 // the actual application bytes for delivery to the destination stack.
+// The medium copies the frame but never its Payload: the bytes stay
+// owned by the sender (see netstack for when it may reuse them).
 type Frame struct {
 	Src, Dst int // station indexes; Dst may be Broadcast
 	Proto    Proto
@@ -83,7 +90,11 @@ type Frame struct {
 	Flags    uint8
 	NetLen   int    // bytes at the network layer
 	Payload  []byte // application bytes (may be shorter than NetLen)
-	Opaque   any    // stack-private data carried to the receiver
+	// Seq and Ack are the TCP header fields a capture sees: the sequence
+	// number of the first payload byte and the cumulative
+	// acknowledgment. SYN and FIN travel in Flags; the data length is
+	// len(Payload).
+	Seq, Ack int64
 }
 
 // CapturedSize is the size tcpdump would report: header + network bytes +
@@ -168,11 +179,17 @@ type Segment struct {
 	group       map[int]int
 
 	// dupProb / reorderProb inject frame duplication and reordering; held
-	// is a reordered frame awaiting re-delivery after the next frame.
+	// points at heldSlot while a reordered frame awaits re-delivery after
+	// the next frame.
 	dupProb     float64
 	reorderProb float64
 	faultRng    *rand.Rand
 	held        *Frame
+	heldSlot    Frame
+
+	// cur is the frame being delivered, copied out of its transmitter's
+	// queue so the queue can take new frames while receivers run.
+	cur Frame
 
 	// Multi-segment hooks: onForward lets a learning bridge observe
 	// delivered frames; tapFilter keeps transit copies out of captures.
@@ -338,7 +355,8 @@ func (s *Segment) SetTapFilter(keep func(dst int) bool) { s.tapFilter = keep }
 // OnForward registers a callback invoked (in event context) after every
 // successful delivery with the transmitting station and the frame — the
 // promiscuous hook a learning bridge uses to pick up frames that need
-// relaying to other segments.
+// relaying to other segments. The frame is valid only during the call;
+// a hook that keeps it copies the value.
 func (s *Segment) OnForward(fn func(tx *Station, f *Frame)) { s.onForward = fn }
 
 // Attach creates a new station on the segment and returns it. The name is
@@ -381,7 +399,7 @@ type Station struct {
 	id        int
 	name      string
 	retryName string // precomputed "eth.retry:"+name
-	queue     []*Frame
+	queue     []Frame
 	qhead     int
 	attempts  int
 	pending   bool   // a contention attempt is registered or scheduled
@@ -402,18 +420,21 @@ func (st *Station) Name() string { return st.name }
 
 // OnReceive registers the upcall invoked (in event context) for every
 // frame addressed to this station or broadcast. A station has exactly one
-// receiver; calling OnReceive again replaces it.
+// receiver; calling OnReceive again replaces it. The *Frame points into
+// the segment's storage and is valid only for the length of the call: a
+// receiver that keeps the frame copies the value, and one that keeps the
+// payload copies the bytes.
 func (st *Station) OnReceive(fn func(*Frame)) { st.recv = fn }
 
 // QueueLen reports the number of frames waiting to transmit.
 func (st *Station) QueueLen() int { return len(st.queue) - st.qhead }
 
 // head returns the frame at the front of the transmit queue.
-func (st *Station) head() *Frame { return st.queue[st.qhead] }
+func (st *Station) head() *Frame { return &st.queue[st.qhead] }
 
 // popHead removes the front frame; a drained queue rewinds its storage.
 func (st *Station) popHead() {
-	st.queue[st.qhead] = nil
+	st.queue[st.qhead] = Frame{}
 	st.qhead++
 	if st.qhead == len(st.queue) {
 		st.queue = st.queue[:0]
@@ -421,10 +442,10 @@ func (st *Station) popHead() {
 	}
 }
 
-// Send enqueues a frame for transmission. The frame's Src is forced to
-// this station. Sending to self panics: the loopback path belongs to the
-// host stack, not the wire.
-func (st *Station) Send(f *Frame) {
+// Send enqueues a copy of the frame for transmission. The frame's Src is
+// forced to this station. Sending to self panics: the loopback path
+// belongs to the host stack, not the wire.
+func (st *Station) Send(f Frame) {
 	if f.Dst == st.id {
 		panic(fmt.Sprintf("ethernet: station %q sending to itself", st.name))
 	}
@@ -435,9 +456,9 @@ func (st *Station) Send(f *Frame) {
 // Forward enqueues a frame preserving its original Src address — how a
 // transparent bridge relays a frame on behalf of a host on another
 // segment.
-func (st *Station) Forward(f *Frame) { st.enqueue(f) }
+func (st *Station) Forward(f Frame) { st.enqueue(f) }
 
-func (st *Station) enqueue(f *Frame) {
+func (st *Station) enqueue(f Frame) {
 	if f.NetLen > MaxNetBytes {
 		panic(fmt.Sprintf("ethernet: frame NetLen %d exceeds MTU %d", f.NetLen, MaxNetBytes))
 	}
@@ -514,7 +535,8 @@ func (s *Segment) startTx(st *Station) {
 func (s *Segment) deliver() {
 	now := s.k.Now()
 	st := s.txFrom
-	f := st.head()
+	s.cur = *st.head()
+	f := &s.cur
 	s.state = segIdle
 	s.idleAt = now
 	s.txFrom = nil
@@ -541,7 +563,8 @@ func (s *Segment) deliver() {
 		// Hold the frame back; it is re-emitted right after the next
 		// successful delivery (a multipath bridge race).
 		s.stats.Reordered++
-		s.held = f
+		s.heldSlot = *f
+		s.held = &s.heldSlot
 		delivered = false
 	}
 
@@ -561,8 +584,10 @@ func (s *Segment) deliver() {
 			} else {
 				s.stats.Dropped++
 			}
+			s.heldSlot = Frame{}
 		}
 	}
+	s.cur = Frame{}
 
 	// The sender either requeues for its next frame or goes quiet.
 	if st.QueueLen() > 0 {

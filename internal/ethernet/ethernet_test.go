@@ -17,8 +17,8 @@ func newTestSegment(t *testing.T, n int) (*sim.Kernel, *Segment, []*Station) {
 	return k, seg, sts
 }
 
-func dataFrame(dst, netLen int) *Frame {
-	return &Frame{Dst: dst, Proto: ProtoTCP, NetLen: netLen, Flags: FlagData}
+func dataFrame(dst, netLen int) Frame {
+	return Frame{Dst: dst, Proto: ProtoTCP, NetLen: netLen, Flags: FlagData}
 }
 
 func TestFrameSizes(t *testing.T) {
@@ -62,7 +62,7 @@ func TestBroadcastDeliversToAllOthers(t *testing.T) {
 		i := i
 		st.OnReceive(func(f *Frame) { got[i]++ })
 	}
-	sts[2].Send(&Frame{Dst: Broadcast, NetLen: 50})
+	sts[2].Send(Frame{Dst: Broadcast, NetLen: 50})
 	k.Run()
 	for i, n := range got {
 		want := 1
@@ -172,8 +172,8 @@ func TestTapSeesAllTraffic(t *testing.T) {
 	sts[2].OnReceive(func(f *Frame) {})
 	var caps []Capture
 	seg.Tap(func(c Capture) { caps = append(caps, c) })
-	sts[0].Send(&Frame{Dst: 1, Proto: ProtoTCP, SrcPort: 1234, DstPort: 80, NetLen: 140, Flags: FlagData})
-	sts[0].Send(&Frame{Dst: 2, Proto: ProtoUDP, NetLen: 40})
+	sts[0].Send(Frame{Dst: 1, Proto: ProtoTCP, SrcPort: 1234, DstPort: 80, NetLen: 140, Flags: FlagData})
+	sts[0].Send(Frame{Dst: 2, Proto: ProtoUDP, NetLen: 40})
 	k.Run()
 	if len(caps) != 2 {
 		t.Fatalf("captured %d frames", len(caps))

@@ -12,7 +12,7 @@ import (
 type Port interface {
 	ID() int
 	Name() string
-	Send(*Frame)
+	Send(Frame)
 	OnReceive(func(*Frame))
 }
 
@@ -34,7 +34,7 @@ var (
 type fwdEntry struct {
 	at   sim.Time
 	from *SwitchPort
-	f    *Frame
+	f    Frame
 }
 
 // Switch is a store-and-forward Ethernet switch with full-duplex links:
@@ -43,9 +43,10 @@ type fwdEntry struct {
 // collisions — the "next generation LAN" the paper's introduction
 // anticipates. It exists for the shared-vs-switched ablation.
 //
-// The forwarding path allocates nothing in steady state: each port's
-// ingress and egress callbacks are allocated once with precomputed
-// names, queues pop from head indexes that rewind when drained, and the
+// The forwarding path allocates nothing in steady state: frames are
+// held by value, each port's ingress and egress callbacks are allocated
+// once with precomputed names, queues pop from head indexes that rewind
+// when drained, and the
 // latency delay runs through a single shared FIFO (constant latency
 // keeps it time-ordered) with one once-allocated timer callback.
 type Switch struct {
@@ -137,17 +138,19 @@ type SwitchPort struct {
 	recv        func(*Frame)
 
 	// Ingress (host → switch).
-	inQ       []*Frame
+	inQ       []Frame
 	inHead    int
-	inFlight  *Frame // frame currently serializing up the link
+	inFlight  Frame  // frame currently serializing up the link
+	inBusy    bool   // inFlight holds a frame
 	ingressFn func() // once-allocated ingress-completion callback
 
 	// Egress (switch → host): a strict-priority pair of queues.
-	outHi     []*Frame
+	outHi     []Frame
 	outHiHead int
-	outQ      []*Frame
+	outQ      []Frame
 	outHead   int
-	outFlight *Frame // frame currently serializing down the link
+	outFlight Frame  // frame currently serializing down the link
+	outBusy   bool   // outFlight holds a frame
 	egressFn  func() // once-allocated egress-completion callback
 }
 
@@ -157,7 +160,8 @@ func (p *SwitchPort) ID() int { return p.id }
 // Name reports the port name.
 func (p *SwitchPort) Name() string { return p.name }
 
-// OnReceive registers the delivery upcall.
+// OnReceive registers the delivery upcall. As on a shared segment, the
+// *Frame is valid only for the length of the call.
 func (p *SwitchPort) OnReceive(fn func(*Frame)) { p.recv = fn }
 
 // QueueLen reports queued frames (ingress + egress).
@@ -165,8 +169,8 @@ func (p *SwitchPort) QueueLen() int {
 	return (len(p.inQ) - p.inHead) + (len(p.outQ) - p.outHead) + (len(p.outHi) - p.outHiHead)
 }
 
-// Send transmits a frame toward the switch.
-func (p *SwitchPort) Send(f *Frame) {
+// Send transmits a copy of the frame toward the switch.
+func (p *SwitchPort) Send(f Frame) {
 	if f.Dst == p.id {
 		panic(fmt.Sprintf("ethernet: port %q sending to itself", p.name))
 	}
@@ -175,7 +179,7 @@ func (p *SwitchPort) Send(f *Frame) {
 	}
 	f.Src = p.id
 	p.inQ = append(p.inQ, f)
-	if p.inFlight == nil {
+	if !p.inBusy {
 		p.pumpIngress()
 	}
 }
@@ -187,21 +191,21 @@ func (p *SwitchPort) pumpIngress() {
 		p.inHead = 0
 		return
 	}
-	f := p.inQ[p.inHead]
-	p.inQ[p.inHead] = nil
+	p.inFlight = p.inQ[p.inHead]
+	p.inQ[p.inHead] = Frame{}
 	p.inHead++
-	p.inFlight = f
+	p.inBusy = true
 	sw := p.sw
-	sw.k.After(sw.txDuration(f)+InterFrameGap, p.ingressName, p.ingressFn)
+	sw.k.After(sw.txDuration(&p.inFlight)+InterFrameGap, p.ingressName, p.ingressFn)
 }
 
 // ingressDone fires when the in-flight frame has fully arrived at the
 // switch: it enters the store-and-forward FIFO and the next queued frame
 // starts up the link.
 func (p *SwitchPort) ingressDone() {
-	f := p.inFlight
-	p.inFlight = nil
-	p.sw.enqueueForward(p, f)
+	p.inBusy = false
+	p.sw.enqueueForward(p, &p.inFlight)
+	p.inFlight = Frame{}
 	p.pumpIngress()
 }
 
@@ -211,7 +215,7 @@ func (p *SwitchPort) ingressDone() {
 // head entry) suffices.
 func (sw *Switch) enqueueForward(from *SwitchPort, f *Frame) {
 	at := sw.k.Now().Add(sw.latency)
-	sw.fwdQ = append(sw.fwdQ, fwdEntry{at: at, from: from, f: f})
+	sw.fwdQ = append(sw.fwdQ, fwdEntry{at: at, from: from, f: *f})
 	if !sw.fwdPending {
 		sw.fwdPending = true
 		sw.k.At(at, "switch.forward", sw.fwdFn)
@@ -223,10 +227,10 @@ func (sw *Switch) enqueueForward(from *SwitchPort, f *Frame) {
 func (sw *Switch) releaseForward() {
 	now := sw.k.Now()
 	for sw.fwdHead < len(sw.fwdQ) && sw.fwdQ[sw.fwdHead].at <= now {
-		e := sw.fwdQ[sw.fwdHead]
-		sw.fwdQ[sw.fwdHead] = fwdEntry{}
+		e := &sw.fwdQ[sw.fwdHead]
+		sw.forward(e.from, &e.f)
+		*e = fwdEntry{}
 		sw.fwdHead++
-		sw.forward(e.from, e.f)
 	}
 	if sw.fwdHead == len(sw.fwdQ) {
 		sw.fwdQ = sw.fwdQ[:0]
@@ -246,14 +250,14 @@ func (sw *Switch) forward(from *SwitchPort, f *Frame) {
 		}
 		if f.Dst == Broadcast || f.Dst == dst.id {
 			if sw.guaranteed[[2]int{f.Src, f.Dst}] {
-				dst.outHi = append(dst.outHi, f)
+				dst.outHi = append(dst.outHi, *f)
 			} else {
-				dst.outQ = append(dst.outQ, f)
+				dst.outQ = append(dst.outQ, *f)
 			}
 			if n := (len(dst.outQ) - dst.outHead) + (len(dst.outHi) - dst.outHiHead); n > sw.MaxQueue {
 				sw.MaxQueue = n
 			}
-			if dst.outFlight == nil {
+			if !dst.outBusy {
 				dst.pumpEgress()
 			}
 		}
@@ -263,15 +267,14 @@ func (sw *Switch) forward(from *SwitchPort, f *Frame) {
 // pumpEgress serializes the next egress frame down to the host,
 // guaranteed traffic first.
 func (p *SwitchPort) pumpEgress() {
-	var f *Frame
 	switch {
 	case p.outHiHead < len(p.outHi):
-		f = p.outHi[p.outHiHead]
-		p.outHi[p.outHiHead] = nil
+		p.outFlight = p.outHi[p.outHiHead]
+		p.outHi[p.outHiHead] = Frame{}
 		p.outHiHead++
 	case p.outHead < len(p.outQ):
-		f = p.outQ[p.outHead]
-		p.outQ[p.outHead] = nil
+		p.outFlight = p.outQ[p.outHead]
+		p.outQ[p.outHead] = Frame{}
 		p.outHead++
 	default:
 		if p.outHiHead == len(p.outHi) {
@@ -284,16 +287,16 @@ func (p *SwitchPort) pumpEgress() {
 		}
 		return
 	}
-	p.outFlight = f
+	p.outBusy = true
 	sw := p.sw
-	sw.k.After(sw.txDuration(f)+InterFrameGap, p.egressName, p.egressFn)
+	sw.k.After(sw.txDuration(&p.outFlight)+InterFrameGap, p.egressName, p.egressFn)
 }
 
 // egressDone completes one delivery: stats, SPAN taps, the host upcall,
-// then the next egress frame.
+// then the next egress frame. The upcall reads the frame in place: the
+// port stays busy until it returns, so nothing refills outFlight.
 func (p *SwitchPort) egressDone() {
-	f := p.outFlight
-	p.outFlight = nil
+	f := &p.outFlight
 	sw := p.sw
 	sw.Delivered++
 	sw.DeliveredBytes += int64(f.CapturedSize())
@@ -308,5 +311,7 @@ func (p *SwitchPort) egressDone() {
 	if p.recv != nil {
 		p.recv(f)
 	}
+	p.outBusy = false
+	p.outFlight = Frame{}
 	p.pumpEgress()
 }

@@ -38,7 +38,7 @@ func TestSwitchBroadcast(t *testing.T) {
 		i := i
 		p.OnReceive(func(f *Frame) { got[i]++ })
 	}
-	ports[2].Send(&Frame{Dst: Broadcast, NetLen: 100})
+	ports[2].Send(Frame{Dst: Broadcast, NetLen: 100})
 	k.Run()
 	for i, n := range got {
 		want := 1
@@ -137,7 +137,7 @@ func TestSwitchTap(t *testing.T) {
 	ports[1].OnReceive(func(f *Frame) {})
 	var caps []Capture
 	sw.Tap(func(c Capture) { caps = append(caps, c) })
-	ports[0].Send(&Frame{Dst: 1, Proto: ProtoUDP, NetLen: 64})
+	ports[0].Send(Frame{Dst: 1, Proto: ProtoUDP, NetLen: 64})
 	k.Run()
 	if len(caps) != 1 || caps[0].Size != 82 || caps[0].Proto != ProtoUDP {
 		t.Errorf("caps = %+v", caps)

@@ -230,6 +230,18 @@ func (t *Team) Final() *Team {
 	return cur
 }
 
+// Detach drops the team's links into the simulation — each worker's
+// PVM task and random stream — once its run is over, so a team kept in
+// a result holds its counters (ComputeTime, Descheds, Generation) but
+// not the machine, hosts, connections and kernel behind them. A detached
+// worker can no longer communicate or compute.
+func (t *Team) Detach() {
+	for _, w := range t.Workers {
+		w.task = nil
+		w.rng = nil
+	}
+}
+
 // Hosts returns the machine host index each rank runs on.
 func (t *Team) Hosts() []int { return append([]int(nil), t.hosts...) }
 

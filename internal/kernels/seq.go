@@ -37,6 +37,8 @@ func SEQ(w *fx.Worker, p Params) [][]float64 {
 		block[r] = make([]float64, n)
 	}
 
+	// Sends copy into the socket, so one element body serves them all.
+	body := make([]byte, seqElemBytes)
 	for it := 0; it < p.Iters; it++ {
 		w.Phase("produce-broadcast")
 		if w.Rank == 0 {
@@ -46,7 +48,6 @@ func SEQ(w *fx.Worker, p Params) [][]float64 {
 				w.Compute("seq.produce", float64(n))
 				for j := 0; j < n; j++ {
 					v := seqValue(i, j, n)
-					body := make([]byte, seqElemBytes)
 					binary.LittleEndian.PutUint32(body[0:], uint32(i))
 					binary.LittleEndian.PutUint32(body[4:], uint32(j))
 					binary.LittleEndian.PutUint64(body[8:], math.Float64bits(v))

@@ -74,7 +74,7 @@ func TestMaxRetransmitsFailsEstablishedConn(t *testing.T) {
 		c := l.Accept(p)
 		// Blocks forever on bytes that never arrive; the kernel still
 		// drains because the writer's bounded retries terminate.
-		_, _ = c.ReadErr(p, 4000)
+		_ = c.ReadFull(p, make([]byte, 4000))
 	})
 	r.k.Go("client", func(p *sim.Proc) {
 		c := r.hosts[0].Connect(p, 1, 80)
@@ -96,13 +96,13 @@ func TestCrashResetsConnections(t *testing.T) {
 	var cliErr error
 	r.k.Go("server", func(p *sim.Proc) {
 		c := l.Accept(p)
-		_, _ = c.ReadErr(p, 10)
+		_ = c.ReadFull(p, make([]byte, 10))
 	})
 	r.k.Go("client", func(p *sim.Proc) {
 		c := r.hosts[0].Connect(p, 1, 80)
 		p.Sleep(time500ms)
 		r.hosts[0].Crash()
-		_, cliErr = c.ReadErr(p, 10)
+		cliErr = c.ReadFull(p, make([]byte, 10))
 	})
 	r.k.Run()
 	if !errors.Is(cliErr, ErrReset) {

@@ -191,7 +191,8 @@ func (h *Host) ephemeralPort() uint16 {
 func (h *Host) BindUDP(port uint16, fn UDPHandler) { h.udp[port] = fn }
 
 // SendUDP transmits one datagram. Oversize payloads panic: the daemons
-// this models never fragment.
+// this models never fragment. The frame carries payload without copying
+// it, so the caller must leave those bytes unchanged.
 func (h *Host) SendUDP(dstHost int, srcPort, dstPort uint16, payload []byte) {
 	if len(payload) > MaxUDPPayload {
 		panic(fmt.Sprintf("netstack: UDP payload %d exceeds %d", len(payload), MaxUDPPayload))
@@ -199,7 +200,7 @@ func (h *Host) SendUDP(dstHost int, srcPort, dstPort uint16, payload []byte) {
 	if h.down {
 		return // a crashed host sends nothing
 	}
-	h.st.Send(&ethernet.Frame{
+	h.st.Send(ethernet.Frame{
 		Dst:     dstHost,
 		Proto:   ethernet.ProtoUDP,
 		SrcPort: srcPort,
@@ -208,13 +209,6 @@ func (h *Host) SendUDP(dstHost int, srcPort, dstPort uint16, payload []byte) {
 		NetLen:  IPHeaderBytes + UDPHeaderBytes + len(payload),
 		Payload: payload,
 	})
-}
-
-// tcpInfo is the stack-private TCP header carried in Frame.Opaque.
-type tcpInfo struct {
-	seq, ack int64
-	syn, fin bool
-	dataLen  int
 }
 
 // receive dispatches an inbound frame to UDP or TCP handling.
@@ -233,18 +227,14 @@ func (h *Host) receive(f *ethernet.Frame) {
 }
 
 func (h *Host) receiveTCP(f *ethernet.Frame) {
-	info, _ := f.Opaque.(*tcpInfo)
-	if info == nil {
-		return
-	}
 	key := connKey{remoteHost: f.Src, localPort: f.DstPort, remotePort: f.SrcPort}
 	if c, ok := h.conns[key]; ok {
-		c.handle(f, info)
+		c.handle(f)
 		return
 	}
-	if info.syn && !info.fin {
+	if f.Flags&(ethernet.FlagSyn|ethernet.FlagFin) == ethernet.FlagSyn {
 		if l, ok := h.listeners[f.DstPort]; ok {
-			l.handleSyn(f, info)
+			l.handleSyn(f)
 		}
 	}
 }
@@ -271,7 +261,7 @@ func (l *Listener) Accept(p *sim.Proc) *Conn {
 	return l.backlog.Get(p)
 }
 
-func (l *Listener) handleSyn(f *ethernet.Frame, info *tcpInfo) {
+func (l *Listener) handleSyn(f *ethernet.Frame) {
 	h := l.h
 	key := connKey{remoteHost: f.Src, localPort: l.port, remotePort: f.SrcPort}
 	if _, dup := h.conns[key]; dup {
@@ -281,7 +271,7 @@ func (l *Listener) handleSyn(f *ethernet.Frame, info *tcpInfo) {
 	c.state = stateSynRcvd
 	h.conns[key] = c
 	// SYN-ACK.
-	c.sendControl(ethernet.FlagSyn|ethernet.FlagAck, &tcpInfo{syn: true, ack: 1})
+	c.sendControl(ethernet.FlagSyn|ethernet.FlagAck, 0, 1)
 	// The connection is usable once the final ACK of the handshake (or
 	// first data) arrives; deliver it to Accept then.
 	c.onEstablished = func() { l.backlog.Put(c) }
@@ -309,7 +299,8 @@ type Conn struct {
 	// Send side. sndQ and unacked are head-indexed queues: popping
 	// advances a cursor instead of re-slicing, and the slice rewinds to
 	// its start when drained, so a long-lived connection reuses one
-	// backing array. Retired sendSeg structs go to segFree for reuse.
+	// backing array. Retired sendSeg structs go to segFree for reuse,
+	// together with their data buffers (see sendSeg).
 	sndNext   int64 // next byte sequence to assign
 	sndQueued int64 // bytes handed to the station
 	sndUna    int64 // lowest unacknowledged byte
@@ -342,9 +333,12 @@ type Conn struct {
 	onDelAckFn func()
 	synRetryFn func()
 
-	// Receive side.
+	// Receive side. Unread bytes are rcvBuf[rcvHead:]; the buffer
+	// compacts in place (see appendRcv), so a long-lived connection
+	// reuses one backing array.
 	rcvNext     int64 // next expected byte
 	rcvBuf      []byte
+	rcvHead     int
 	readers     sim.Gate
 	unackedSegs int
 	delAck      sim.Event
@@ -362,6 +356,16 @@ type Conn struct {
 	DupSegsIn                int64
 }
 
+// sendSeg is one segment of the send stream. Its data buffer belongs to
+// the connection: Write copies the caller's bytes into it, the frames
+// that carry the segment alias it, and it survives freeSeg so the next
+// Write reuses the backing array.
+//
+// Reusing a buffer that a frame on the wire still aliases is safe. A
+// segment is freed only once an ACK covers it, and the receiver's
+// rcvNext is at or past every ACK it has sent, so any stale copy still
+// queued, held back or in a trunk carries Seq < rcvNext and is discarded
+// unread. A failed connection never reuses its segments (see fail).
 type sendSeg struct {
 	data []byte
 	seq  int64
@@ -379,10 +383,10 @@ func (c *Conn) newSeg() *sendSeg {
 	return &sendSeg{}
 }
 
-// freeSeg retires a segment for reuse. The data slice is released (frames
-// already on the wire hold their own copy of the slice header).
+// freeSeg retires a segment for reuse, keeping its data buffer. Only a
+// segment no unacknowledged frame carries may be freed (see sendSeg).
 func (c *Conn) freeSeg(s *sendSeg) {
-	s.data = nil
+	s.data = s.data[:0]
 	s.fin = false
 	c.segFree = append(c.segFree, s)
 }
@@ -460,7 +464,7 @@ func (h *Host) ConnectErr(p *sim.Proc, dstHost int, dstPort uint16) (*Conn, erro
 // or SYN-ACK cannot deadlock connection setup. With MaxRetransmits
 // configured, a persistently unanswered SYN fails the connection.
 func (c *Conn) sendSyn() {
-	c.sendControl(ethernet.FlagSyn, &tcpInfo{syn: true})
+	c.sendControl(ethernet.FlagSyn, 0, 0)
 	c.synTimer = c.h.k.After(c.h.cfg.RTO, "tcp.synrto", c.synRetryFn)
 }
 
@@ -487,7 +491,9 @@ func (c *Conn) Reset() { c.fail(ErrReset) }
 
 // fail marks the connection dead with cause err (first cause wins),
 // cancels all timers, discards queued data, and wakes every waiter so no
-// process stays blocked on a dead connection.
+// process stays blocked on a dead connection. Unacknowledged segments
+// are dropped, never returned to segFree: frames still on the wire may
+// alias their buffers, and no ACK will ever retire those frames.
 func (c *Conn) fail(err error) {
 	if c.err != nil {
 		return
@@ -515,15 +521,16 @@ func (c *Conn) LocalPort() uint16 { return c.localPort }
 func (c *Conn) RemoteAddr() (int, uint16) { return c.remoteHost, c.remotePort }
 
 // sendControl emits a zero-data control segment (SYN/ACK/FIN variants).
-func (c *Conn) sendControl(flags uint8, info *tcpInfo) {
-	c.h.st.Send(&ethernet.Frame{
+func (c *Conn) sendControl(flags uint8, seq, ack int64) {
+	c.h.st.Send(ethernet.Frame{
 		Dst:     c.remoteHost,
 		Proto:   ethernet.ProtoTCP,
 		SrcPort: c.localPort,
 		DstPort: c.remotePort,
 		Flags:   flags,
 		NetLen:  IPHeaderBytes + TCPHeaderBytes,
-		Opaque:  info,
+		Seq:     seq,
+		Ack:     ack,
 	})
 	if flags&ethernet.FlagAck != 0 && flags&ethernet.FlagSyn == 0 {
 		c.AcksOut++
@@ -536,7 +543,9 @@ func (c *Conn) sendControl(flags uint8, info *tcpInfo) {
 // is a separate socket write, which is what gives T2DFFT its distinctive
 // packet sizes). Write blocks p while the socket send buffer (buffered +
 // in flight ≥ SendWindow) is full, returning once every byte is buffered
-// — the semantics of a blocking socket write.
+// — the semantics of a blocking socket write. The bytes are copied into
+// the connection's own segment buffers, so the caller may reuse data as
+// soon as Write returns.
 func (c *Conn) Write(p *sim.Proc, data []byte) {
 	if err := c.WriteErr(p, data); err != nil {
 		panic(fmt.Sprintf("netstack: Write on failed connection: %v", err))
@@ -569,7 +578,7 @@ func (c *Conn) WriteErr(p *sim.Proc, data []byte) error {
 			return c.err
 		}
 		seg := c.newSeg()
-		seg.data = chunk
+		seg.data = append(seg.data[:0], chunk...)
 		seg.seq = c.sndNext
 		c.sndNext += int64(len(seg.data))
 		c.buffered += len(seg.data)
@@ -597,7 +606,7 @@ func (c *Conn) pump() {
 		}
 		c.popSndQ()
 		if seg.fin {
-			c.sendControl(ethernet.FlagFin, &tcpInfo{fin: true, seq: seg.seq})
+			c.sendControl(ethernet.FlagFin, seg.seq, 0)
 			c.freeSeg(seg)
 			continue
 		}
@@ -648,16 +657,18 @@ func (c *Conn) nagleCoalesce() *sendSeg {
 	if n == 1 && take == 0 {
 		return c.popSndQ()
 	}
+	// The queued segments were never sent, so no frame aliases their
+	// buffers: the top-up moves the rest of next down in place, and the
+	// merged-away segments are free for reuse at once.
 	merged := c.newSeg()
 	merged.seq = q[0].seq
-	merged.data = make([]byte, 0, total)
 	for i := 0; i < n; i++ {
 		merged.data = append(merged.data, q[i].data...)
 	}
 	if take > 0 {
 		next := q[n]
 		merged.data = append(merged.data, next.data[:take]...)
-		next.data = next.data[take:]
+		next.data = next.data[:copy(next.data, next.data[take:])]
 		next.seq += int64(take)
 	}
 	for i := 0; i < n; i++ {
@@ -666,9 +677,10 @@ func (c *Conn) nagleCoalesce() *sendSeg {
 	return merged
 }
 
-// sendData puts one data segment on the wire.
+// sendData puts one data segment on the wire. The frame's Payload
+// aliases the segment's buffer (see sendSeg for why that is safe).
 func (c *Conn) sendData(seg *sendSeg) {
-	c.h.st.Send(&ethernet.Frame{
+	c.h.st.Send(ethernet.Frame{
 		Dst:     c.remoteHost,
 		Proto:   ethernet.ProtoTCP,
 		SrcPort: c.localPort,
@@ -676,7 +688,7 @@ func (c *Conn) sendData(seg *sendSeg) {
 		Flags:   ethernet.FlagData,
 		NetLen:  IPHeaderBytes + TCPHeaderBytes + len(seg.data),
 		Payload: seg.data,
-		Opaque:  &tcpInfo{seq: seg.seq, dataLen: len(seg.data)},
+		Seq:     seg.seq,
 	})
 }
 
@@ -749,27 +761,30 @@ func (c *Conn) goBackN() {
 }
 
 // handle processes an inbound segment for an existing connection.
-func (c *Conn) handle(f *ethernet.Frame, info *tcpInfo) {
+func (c *Conn) handle(f *ethernet.Frame) {
+	syn := f.Flags&ethernet.FlagSyn != 0
+	fin := f.Flags&ethernet.FlagFin != 0
+	dataLen := len(f.Payload)
 	switch {
-	case info.syn && f.Flags&ethernet.FlagAck != 0: // SYN-ACK at client
+	case syn && f.Flags&ethernet.FlagAck != 0: // SYN-ACK at client
 		if c.state == stateSynSent {
 			c.synTimer.Cancel()
 			c.synTimer = sim.Event{}
 			c.state = stateEstablished
 			// ack=0 in the data sequence space: the handshake must not
 			// disturb byte-count window accounting.
-			c.sendControl(ethernet.FlagAck, &tcpInfo{ack: 0})
+			c.sendControl(ethernet.FlagAck, 0, 0)
 			c.established.Broadcast()
 		}
 		return
-	case info.syn: // retransmitted SYN at server: the SYN-ACK was lost
+	case syn: // retransmitted SYN at server: the SYN-ACK was lost
 		if c.state == stateSynRcvd {
-			c.sendControl(ethernet.FlagSyn|ethernet.FlagAck, &tcpInfo{syn: true, ack: 1})
+			c.sendControl(ethernet.FlagSyn|ethernet.FlagAck, 0, 1)
 		}
 		return
-	case info.fin:
+	case fin:
 		c.peerClosed = true
-		c.sendControl(ethernet.FlagAck, &tcpInfo{ack: c.rcvNext})
+		c.sendControl(ethernet.FlagAck, 0, c.rcvNext)
 		c.readers.Broadcast()
 		return
 	}
@@ -781,12 +796,14 @@ func (c *Conn) handle(f *ethernet.Frame, info *tcpInfo) {
 		}
 		c.established.Broadcast()
 	}
-	if info.dataLen > 0 {
+	if dataLen > 0 {
 		switch {
-		case info.seq == c.rcvNext:
+		case f.Seq == c.rcvNext:
+			// The only place a payload is read: a stale frame whose
+			// buffer the sender has reused has Seq < rcvNext.
 			c.SegsIn++
-			c.rcvNext += int64(info.dataLen)
-			c.rcvBuf = append(c.rcvBuf, f.Payload...)
+			c.rcvNext += int64(dataLen)
+			c.appendRcv(f.Payload)
 			c.readers.Broadcast()
 			c.unackedSegs++
 			if c.unackedSegs >= c.h.cfg.AckEvery {
@@ -805,17 +822,17 @@ func (c *Conn) handle(f *ethernet.Frame, info *tcpInfo) {
 			c.DupSegsIn++
 			c.unackedSegs = 0
 			c.delAckAt = 0
-			c.sendControl(ethernet.FlagAck, &tcpInfo{ack: c.rcvNext})
+			c.sendControl(ethernet.FlagAck, 0, c.rcvNext)
 		}
 	}
 	if f.Flags&ethernet.FlagAck != 0 {
 		switch {
-		case info.ack > c.sndUna:
-			c.sndUna = info.ack
+		case f.Ack > c.sndUna:
+			c.sndUna = f.Ack
 			c.dupAcks = 0
 			for c.inFlight() > 0 {
 				seg := c.unacked[c.unaHead]
-				if seg.seq+int64(len(seg.data)) > info.ack {
+				if seg.seq+int64(len(seg.data)) > f.Ack {
 					break
 				}
 				c.unacked[c.unaHead] = nil
@@ -829,7 +846,7 @@ func (c *Conn) handle(f *ethernet.Frame, info *tcpInfo) {
 			c.armRTO(true)
 			c.pump()
 			c.writers.Broadcast()
-		case info.ack == c.sndUna && info.dataLen == 0 && c.inFlight() > 0 && !info.syn && !info.fin:
+		case f.Ack == c.sndUna && dataLen == 0 && c.inFlight() > 0:
 			// One fast retransmit per loss window: a go-back-N resend
 			// itself provokes duplicate ACKs, which must not re-trigger.
 			c.dupAcks++
@@ -862,40 +879,57 @@ func (c *Conn) sendAckNow() {
 	}
 	c.unackedSegs = 0
 	c.delAckAt = 0
-	c.sendControl(ethernet.FlagAck, &tcpInfo{ack: c.rcvNext})
+	c.sendControl(ethernet.FlagAck, 0, c.rcvNext)
+}
+
+// appendRcv buffers in-order payload bytes. A drained buffer rewinds to
+// its start on read; otherwise unread bytes move down to the front
+// before the backing array would have to grow, so the array is reused
+// instead of sliding forward through fresh allocations.
+func (c *Conn) appendRcv(b []byte) {
+	if c.rcvHead > 0 && len(c.rcvBuf)+len(b) > cap(c.rcvBuf) {
+		c.rcvBuf = c.rcvBuf[:copy(c.rcvBuf, c.rcvBuf[c.rcvHead:])]
+		c.rcvHead = 0
+	}
+	c.rcvBuf = append(c.rcvBuf, b...)
 }
 
 // Buffered reports the bytes available to Read without blocking.
-func (c *Conn) Buffered() int { return len(c.rcvBuf) }
+func (c *Conn) Buffered() int { return len(c.rcvBuf) - c.rcvHead }
 
-// Read blocks p until n bytes are available, then returns them. If the
-// peer closes before n bytes arrive, Read panics — the message protocols
-// built on top never truncate.
+// Read blocks p until n bytes are available, then returns them in a new
+// slice. If the peer closes before n bytes arrive, Read panics — the
+// message protocols built on top never truncate. ReadFull is the
+// allocation-free, error-returning form.
 func (c *Conn) Read(p *sim.Proc, n int) []byte {
-	out, err := c.ReadErr(p, n)
-	if err != nil {
-		panic(fmt.Sprintf("netstack: Read on %s: %v (%d/%d bytes buffered)", c.h.name, err, len(c.rcvBuf), n))
+	out := make([]byte, n)
+	if err := c.ReadFull(p, out); err != nil {
+		panic(fmt.Sprintf("netstack: Read on %s: %v (%d/%d bytes buffered)", c.h.name, err, c.Buffered(), n))
 	}
 	return out
 }
 
-// ReadErr is Read returning an error instead of panicking: ErrClosed when
-// the peer's FIN arrives before n bytes do, or the connection's failure
-// cause (ErrTimedOut, ErrReset) when it dies while blocked. Buffered data
+// ReadFull blocks p until len(dst) bytes are available and copies them
+// into dst. It returns ErrClosed when the peer's FIN arrives before
+// they do, or the connection's failure cause (ErrTimedOut, ErrReset)
+// when it dies while blocked; dst is then left untouched. Buffered data
 // already received stays readable after a failure.
-func (c *Conn) ReadErr(p *sim.Proc, n int) ([]byte, error) {
-	for len(c.rcvBuf) < n {
+func (c *Conn) ReadFull(p *sim.Proc, dst []byte) error {
+	for c.Buffered() < len(dst) {
 		if c.err != nil {
-			return nil, c.err
+			return c.err
 		}
 		if c.peerClosed {
-			return nil, ErrClosed
+			return ErrClosed
 		}
 		c.readers.Wait(p)
 	}
-	out := c.rcvBuf[:n:n]
-	c.rcvBuf = c.rcvBuf[n:]
-	return out, nil
+	c.rcvHead += copy(dst, c.rcvBuf[c.rcvHead:])
+	if c.rcvHead == len(c.rcvBuf) {
+		c.rcvBuf = c.rcvBuf[:0]
+		c.rcvHead = 0
+	}
+	return nil
 }
 
 // Close sends a FIN after all queued data. It does not block.

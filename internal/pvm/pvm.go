@@ -382,9 +382,12 @@ type Task struct {
 	inConns   []*netstack.Conn
 	accept    *sim.Proc
 	readers   []*sim.Proc
-	mbox      []*message
+	mbox      []message
 	gate      sim.Gate
 	cancelErr error
+	// sendBuf is the scratch buffer outgoing messages are assembled in.
+	// The socket copies on Write, so one buffer serves every send.
+	sendBuf []byte
 
 	// Counters.
 	MsgsSent, BytesSent int64
@@ -456,11 +459,14 @@ func (t *Task) Proc() *sim.Proc { return t.proc }
 
 // readLoop parses messages off one inbound connection into the mailbox.
 // It exits quietly when the connection fails or closes — a dead peer's
-// partial message is discarded, never delivered truncated.
+// partial message is discarded, never delivered truncated. The header
+// and length words are read into fixed arrays and every fragment
+// straight into place, so the body is a message's one allocation.
 func (t *Task) readLoop(p *sim.Proc, c *netstack.Conn) {
+	var hdr [headerBytes]byte
+	var lenb [4]byte
 	for {
-		hdr, err := c.ReadErr(p, headerBytes)
-		if err != nil {
+		if c.ReadFull(p, hdr[:]) != nil {
 			return
 		}
 		magic := binary.LittleEndian.Uint32(hdr[0:])
@@ -471,25 +477,27 @@ func (t *Task) readLoop(p *sim.Proc, c *netstack.Conn) {
 		tag := int(int32(binary.LittleEndian.Uint32(hdr[8:])))
 		bodyLen := int(binary.LittleEndian.Uint32(hdr[12:]))
 		nfrag := int(binary.LittleEndian.Uint32(hdr[16:]))
-		body := make([]byte, 0, bodyLen)
+		body := make([]byte, bodyLen)
+		off := 0
 		for i := 0; i < nfrag; i++ {
-			lenb, err := c.ReadErr(p, 4)
-			if err != nil {
+			if c.ReadFull(p, lenb[:]) != nil {
 				return
 			}
-			fragLen := int(binary.LittleEndian.Uint32(lenb))
-			frag, err := c.ReadErr(p, fragLen)
-			if err != nil {
+			fragLen := int(binary.LittleEndian.Uint32(lenb[:]))
+			if off+fragLen > bodyLen {
+				panic(fmt.Sprintf("pvm: body %d != header %d", off+fragLen, bodyLen))
+			}
+			if c.ReadFull(p, body[off:off+fragLen]) != nil {
 				return
 			}
-			body = append(body, frag...)
+			off += fragLen
 		}
-		if len(body) != bodyLen {
-			panic(fmt.Sprintf("pvm: body %d != header %d", len(body), bodyLen))
+		if off != bodyLen {
+			panic(fmt.Sprintf("pvm: body %d != header %d", off, bodyLen))
 		}
 		t.MsgsRecv++
 		t.BytesRecv += int64(len(body))
-		t.mbox = append(t.mbox, &message{src: src, tag: tag, body: body})
+		t.mbox = append(t.mbox, message{src: src, tag: tag, body: body})
 		t.gate.Broadcast()
 	}
 }
@@ -546,15 +554,13 @@ func (t *Task) connToErr(dst int) (*netstack.Conn, error) {
 	}
 }
 
-// header builds the 20-byte message header.
-func (t *Task) header(tag, bodyLen, nfrag int) []byte {
-	hdr := make([]byte, headerBytes)
-	binary.LittleEndian.PutUint32(hdr[0:], headerMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(int32(t.tid)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(int32(tag)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(bodyLen))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(nfrag))
-	return hdr
+// appendHeader appends the 20-byte message header to buf.
+func (t *Task) appendHeader(buf []byte, tag, bodyLen, nfrag int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, headerMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(t.tid)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(tag)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(bodyLen))
+	return binary.LittleEndian.AppendUint32(buf, uint32(nfrag))
 }
 
 // Send transmits body to task dst with the copy-loop discipline: header,
@@ -578,12 +584,10 @@ func (t *Task) SendErr(dst, tag int, body []byte) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, headerBytes+4+len(body))
-	buf = append(buf, t.header(tag, len(body), 1)...)
-	var lenb [4]byte
-	binary.LittleEndian.PutUint32(lenb[:], uint32(len(body)))
-	buf = append(buf, lenb[:]...)
+	buf := t.appendHeader(t.sendBuf[:0], tag, len(body), 1)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
 	buf = append(buf, body...)
+	t.sendBuf = buf
 	if err := c.WriteErr(t.proc, buf); err != nil {
 		return t.sendFailure(dst, err)
 	}
@@ -626,7 +630,8 @@ func (t *Task) SendFragsErr(dst, tag int, frags [][]byte) error {
 	for _, f := range frags {
 		total += len(f)
 	}
-	if err := c.WriteErr(t.proc, t.header(tag, total, len(frags))); err != nil {
+	t.sendBuf = t.appendHeader(t.sendBuf[:0], tag, total, len(frags))
+	if err := c.WriteErr(t.proc, t.sendBuf); err != nil {
 		return t.sendFailure(dst, err)
 	}
 	for _, f := range frags {
@@ -667,7 +672,12 @@ func (t *Task) RecvErr(src, tag int, deadline sim.Duration) (gotSrc, gotTag int,
 	for {
 		for i, msg := range t.mbox {
 			if (src == AnySource || msg.src == src) && (tag == AnyTag || msg.tag == tag) {
-				t.mbox = append(t.mbox[:i], t.mbox[i+1:]...)
+				// Close the gap and clear the vacated last slot, so the
+				// backing array does not pin a delivered body.
+				last := len(t.mbox) - 1
+				copy(t.mbox[i:], t.mbox[i+1:])
+				t.mbox[last] = message{}
+				t.mbox = t.mbox[:last]
 				return msg.src, msg.tag, msg.body, nil
 			}
 		}

@@ -120,7 +120,7 @@ func TestCaptureFromSegment(t *testing.T) {
 	b := seg.Attach("b")
 	b.OnReceive(func(f *ethernet.Frame) {})
 	col := Capture(seg)
-	a.Send(&ethernet.Frame{Dst: 1, Proto: ethernet.ProtoTCP, NetLen: 100, Flags: ethernet.FlagData})
+	a.Send(ethernet.Frame{Dst: 1, Proto: ethernet.ProtoTCP, NetLen: 100, Flags: ethernet.FlagData})
 	k.Run()
 	tr := col.Trace()
 	if tr.Len() != 1 || tr.Packets[0].Size != 118 || tr.Packets[0].Src != 0 || tr.Packets[0].Dst != 1 {
@@ -135,13 +135,13 @@ func TestCapturePauseResume(t *testing.T) {
 	seg.Attach("b").OnReceive(func(f *ethernet.Frame) {})
 	col := Capture(seg)
 	col.Pause()
-	a.Send(&ethernet.Frame{Dst: 1, NetLen: 100})
+	a.Send(ethernet.Frame{Dst: 1, NetLen: 100})
 	k.Run()
 	if col.Trace().Len() != 0 {
 		t.Error("captured while paused")
 	}
 	col.Resume()
-	a.Send(&ethernet.Frame{Dst: 1, NetLen: 100})
+	a.Send(ethernet.Frame{Dst: 1, NetLen: 100})
 	k.Run()
 	if col.Trace().Len() != 1 {
 		t.Error("did not capture after resume")
@@ -154,7 +154,7 @@ func TestCaptureBroadcastAddress(t *testing.T) {
 	a := seg.Attach("a")
 	seg.Attach("b")
 	col := Capture(seg)
-	a.Send(&ethernet.Frame{Dst: ethernet.Broadcast, NetLen: 50})
+	a.Send(ethernet.Frame{Dst: ethernet.Broadcast, NetLen: 50})
 	k.Run()
 	if got := col.Trace().Packets[0].Dst; got != Broadcast {
 		t.Errorf("broadcast dst = %d, want %d", got, Broadcast)
